@@ -39,6 +39,10 @@ const (
 	// shipped to peer shards (netlive writer side).
 	CtrFramesOut
 	CtrBytesOut
+	// CtrWrites counts the netlive writer's socket writes: one per batch,
+	// a single write or writev however many frames it carries
+	// (CtrFramesOut / CtrWrites is the realized coalescing factor).
+	CtrWrites
 	// CtrFramesIn / CtrBytesIn count frames and payload bytes received from
 	// peer shards (netlive reader side).
 	CtrFramesIn
@@ -64,7 +68,7 @@ const (
 
 var ctrNames = [numCtrs]string{
 	"live.notifies", "live.notify.batches",
-	"net.frames.out", "net.bytes.out", "net.frames.in", "net.bytes.in",
+	"net.frames.out", "net.bytes.out", "net.writes", "net.frames.in", "net.bytes.in",
 	"shm.frames.out", "shm.bytes.out", "shm.frames.in", "shm.bytes.in",
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",
 }

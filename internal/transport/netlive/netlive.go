@@ -26,13 +26,27 @@
 // The machine layer routes a cross-shard Send through ShardBackend
 // .DeliverRemote with the packet payload already encoded into a pooled
 // wire.Buf (am.Msg's wire codec). Each peer shard has one writer goroutine
-// owning the connection: frames queue on a ring and the writer drains them
-// in order — per-sender FIFO to a destination is preserved end to end — then
-// releases the buffers, so a warm cross-shard send allocates nothing beyond
-// what the socket write itself costs. Reader goroutines decode arriving
-// frames into pooled buffers and hand them to the machine's remote-arrival
-// handler, which enqueues into the destination node's (thread-safe) inbox
-// and wakes it through the live backend's delivery worker.
+// owning the connection: frames queue on a ring, and each writer wake takes
+// every queued frame up to writeBatchCap bytes, encodes them back to back
+// into one reusable buffer, and puts the batch on the wire with a single
+// write (a writev when the last frame's body is too large to copy). Order
+// is preserved — per-sender FIFO to a destination holds end to end — and
+// the bodies are released once the write returns, so a warm cross-shard
+// send allocates nothing. The byte stream is exactly the per-frame
+// encoding; only the syscall count changes.
+//
+// Each reader goroutine reads its connection through a fixed readBufSize
+// buffer, so one read brings in many frames, and validates every frame at
+// this single choke point before anything is allocated or dispatched for
+// it: the length is at most maxFrameLen, the kind is known and its body at
+// least the kind's minimum, packet src is a node and dst a local one, and
+// control-frame shard ids are in range. A violation is reported through
+// Err and closes that connection. A body that fits the read buffer is
+// dispatched in place (the remote-arrival handler copies what it keeps, as
+// for shm ring slots); a larger one is read into a pooled buffer. Packets go
+// to the machine's remote-arrival handler, which enqueues into the
+// destination node's (thread-safe) inbox and wakes it through the live
+// backend's delivery worker.
 //
 // # The shared-memory fast path
 //
@@ -61,6 +75,7 @@
 package netlive
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,6 +88,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/metrics"
@@ -150,13 +166,46 @@ const (
 	kPacket    = frameKind(1) // u32 src, u32 dst, u32 size, payload
 	kMainsDone = frameKind(2) // u32 shard
 	kAllDone   = frameKind(3) // empty
-	kStats     = frameKind(4) // u32 shard, JSON machine.ShardStats (worker -> parent)
+	kStats     = frameKind(4) // u32 shard, JSON machine.ShardStats (worker -> parent, mid-run sample)
 	kStatsReq  = frameKind(5) // empty (parent -> worker: report your stats now)
 	kDoorbell  = frameKind(6) // u32 shard (sender: wake your parked consumer of my outbound ring)
+	kStatsLast = frameKind(7) // as kStats, the worker's final report (sent once its procs finished)
 )
 
-// packetHdrLen is the kPacket body header: src, dst, size.
-const packetHdrLen = 12
+const (
+	// frameHdrLen is the frame prefix: u32 body length, u8 kind.
+	frameHdrLen = 5
+	// packetHdrLen is the kPacket body header: src, dst, size.
+	packetHdrLen = 12
+	// maxFrameLen bounds a frame body. A reader rejects a longer length
+	// before allocating anything for it; push refuses to queue a longer
+	// frame, so no writer ever produces one.
+	maxFrameLen = 64 << 20
+	// writeBatchCap is the per-peer coalescing buffer: one writer wake
+	// encodes queued frames into it up to this many bytes and puts them on
+	// the wire with a single write. A frame that does not fit ends the
+	// batch and has its body written from its own buffer in the same writev.
+	writeBatchCap = 64 << 10
+	// readBufSize is the per-connection read buffer: one read syscall
+	// brings in as many frames as the peer has written, and a body that
+	// fits is dispatched in place from the buffered bytes.
+	readBufSize = 64 << 10
+)
+
+// minBody is the shortest valid body of each frame kind; ok is false for a
+// kind byte no writer produces.
+func minBody(k frameKind) (n int, ok bool) {
+	switch k {
+	case kPacket:
+		return packetHdrLen, true
+	case kMainsDone, kStats, kStatsLast, kDoorbell:
+		return 4, true
+	case kAllDone, kStatsReq:
+		return 0, true
+	default:
+		return 0, false
+	}
+}
 
 // Backend is the sharded multi-process transport. Construct with New.
 type Backend struct {
@@ -199,10 +248,12 @@ type Backend struct {
 	// reader goroutines may field a kStatsReq while it is being installed.
 	statsProv atomic.Value // func() []byte
 
-	// peerStats is the latest kStats payload from each worker shard
-	// (parent only).
+	// peerStats is the latest stats payload from each worker shard, and
+	// peerFinal marks the shards whose final report (kStatsLast) has
+	// arrived; a mid-run sample never replaces a final report (parent only).
 	statsMu   sync.Mutex
 	peerStats map[int][]byte //mpmdvet:guard statsMu
+	peerFinal map[int]bool   //mpmdvet:guard statsMu
 
 	errMu sync.Mutex
 	errs  []error //mpmdvet:guard errMu
@@ -258,32 +309,7 @@ func New(n int, opts Options) (*Backend, error) {
 		opts.Live.CPUAffinity = affinityBlock(shard, opts.CPUsPerShard)
 	}
 
-	b := &Backend{
-		inner:  live.New(n, opts.Live),
-		n:      n,
-		nps:    nps,
-		shards: shards,
-		shard:  shard,
-		lo:     shard * nps,
-		opts:   opts,
-	}
-	b.hi = b.lo + nps
-	if b.hi > n {
-		b.hi = n
-	}
-	b.met = metrics.NewRegistry()
-	// The maps are guarded; take the (uncontended) locks so construction is
-	// checked by the same rule as every later access.
-	b.statsMu.Lock()
-	b.peerStats = make(map[int][]byte)
-	b.statsMu.Unlock()
-	b.q.Lock()
-	b.q.done = make(map[int]bool)
-	b.q.Unlock()
-	if opts.DialTimeout <= 0 {
-		b.opts.DialTimeout = 10 * time.Second
-	}
-
+	b := newLocal(n, nps, shard, opts)
 	if shards == 1 {
 		return b, nil // loopback: no sockets, no peers
 	}
@@ -338,6 +364,36 @@ func New(n int, opts Options) (*Backend, error) {
 		}
 	}
 	return b, nil
+}
+
+// newLocal builds the in-process half of a backend for shard of a machine
+// of n nodes in shards of nps: the live inner backend, the local node range,
+// and the guarded maps. New adds the sockets, rings, and children on top.
+func newLocal(n, nps, shard int, opts Options) *Backend {
+	b := &Backend{
+		inner:  live.New(n, opts.Live),
+		n:      n,
+		nps:    nps,
+		shards: (n + nps - 1) / nps,
+		shard:  shard,
+		lo:     shard * nps,
+		opts:   opts,
+	}
+	b.hi = min(b.lo+nps, n)
+	b.met = metrics.NewRegistry()
+	// The maps are guarded; take the (uncontended) locks so construction is
+	// checked by the same rule as every later access.
+	b.statsMu.Lock()
+	b.peerStats = make(map[int][]byte)
+	b.peerFinal = make(map[int]bool)
+	b.statsMu.Unlock()
+	b.q.Lock()
+	b.q.done = make(map[int]bool)
+	b.q.Unlock()
+	if opts.DialTimeout <= 0 {
+		b.opts.DialTimeout = 10 * time.Second
+	}
+	return b
 }
 
 // affinityBlock is shard s's CPU set under Options.CPUsPerShard: a block of
@@ -448,7 +504,7 @@ func (b *Backend) Run() error {
 		// Final stats report: every local proc has finished, so the snapshot
 		// covers the whole run, and the writer queue is drained before close —
 		// the frame reaches the parent before this process exits.
-		b.sendStats()
+		b.sendStats(kStatsLast)
 	}
 	if b.shards > 1 && b.shard == 0 {
 		b.waitChildren()
@@ -687,8 +743,9 @@ func (b *Backend) RequestStats() {
 }
 
 // sendStats (workers) serializes the local stats payload and ships it to the
-// parent as a kStats frame. No-op before the machine installs a provider.
-func (b *Backend) sendStats() {
+// parent as a kind frame: kStats for a mid-run sample, kStatsLast for the
+// final report. No-op before the machine installs a provider.
+func (b *Backend) sendStats(kind frameKind) {
 	prov, _ := b.statsProv.Load().(func() []byte)
 	if prov == nil || b.shard == 0 || b.peers == nil {
 		return
@@ -706,29 +763,47 @@ func (b *Backend) sendStats() {
 	f := b.frameBuf(4 + len(payload))
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	copy(f.Bytes()[4:], payload)
-	b.peers[0].push(outFrame{kind: kStats, buf: f})
+	b.peers[0].push(outFrame{kind: kind, buf: f})
 	// Bound the wait so a dead parent cannot wedge the worker's exit; the
 	// frame is almost always already on the wire.
 	b.peers[0].flush(b.opts.DialTimeout)
 }
 
-// waitStats (parent) waits for every worker shard's final kStats payload
-// before the sockets come down. Workers flush the frame before exiting, so
-// by the time waitChildren has reaped them the bytes are at worst sitting in
-// the parent's socket buffer; this wait gives the reader goroutines time to
-// dispatch them. A missing payload after the timeout is a lifecycle error
-// (and ClusterStats will refuse to fabricate totals).
+// storeStats (parent) records a worker's stats payload. The frame body is
+// valid only during dispatch, so the payload is copied out. A mid-run sample
+// that arrives after the final report is dropped: the final one covers the
+// whole run.
+func (b *Backend) storeStats(shard int, payload []byte, final bool) {
+	b.statsMu.Lock()
+	defer b.statsMu.Unlock()
+	if b.peerFinal[shard] && !final {
+		return
+	}
+	b.peerStats[shard] = append([]byte(nil), payload...)
+	if final {
+		b.peerFinal[shard] = true
+	}
+}
+
+// waitStats (parent) waits for every worker shard's final stats report
+// before the sockets come down. A mid-run sample (RequestStats) does not
+// count: only kStatsLast is sent after the worker's procs finished. Workers
+// flush the frame before exiting, so by the time waitChildren has reaped
+// them the bytes are at worst sitting in the parent's socket buffer; this
+// wait gives the reader goroutines time to dispatch them. A missing report
+// after the timeout is a lifecycle error (and ClusterStats will refuse to
+// fabricate totals when no payload arrived at all).
 func (b *Backend) waitStats() {
 	deadline := time.Now().Add(b.opts.DialTimeout)
 	for {
 		b.statsMu.Lock()
-		got := len(b.peerStats)
+		got := len(b.peerFinal)
 		b.statsMu.Unlock()
 		if got >= b.shards-1 {
 			return
 		}
 		if time.Now().After(deadline) {
-			b.addErr(fmt.Errorf("netlive: stats from only %d of %d worker shards within %v",
+			b.addErr(fmt.Errorf("netlive: final stats from only %d of %d worker shards within %v",
 				got, b.shards-1, b.opts.DialTimeout))
 			return
 		}
@@ -760,71 +835,156 @@ func (b *Backend) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one peer connection. Frame bodies land in
-// pooled buffers and are recycled after dispatch; the packet handler runs
-// synchronously here, which preserves the sender's frame order.
+// readLoop reads one peer connection until it ends. A stream that breaks the
+// frame rules is reported through Err and its connection closed.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
-	var hdr [5]byte
+	if err := b.readFrames(conn); err != nil {
+		b.addErr(err)
+		_ = conn.Close()
+	}
+}
+
+// readFrames decodes, validates, and dispatches the frames of one peer
+// stream — the single choke point every socket-borne byte passes. It reads
+// through a fixed-size buffer, so one read syscall brings in many frames; a
+// body that fits the buffer is dispatched in place from the buffered bytes
+// (the same no-retain contract the shm consumer gives remoteArrival), a
+// larger one is read into a pooled buffer. Handlers run synchronously here,
+// which preserves the sender's frame order.
+//
+// The stream ending — EOF, also in the middle of a frame, or the connection
+// closed or reset by either side's teardown — returns nil; the partial frame
+// is not dispatched. A frame that breaks the rules (length over maxFrameLen,
+// unknown kind, body shorter than its kind's minimum, node or shard ids out
+// of range, a packet for a node of another shard) returns an error before
+// anything is allocated or dispatched for it.
+func (b *Backend) readFrames(r io.Reader) error {
+	br := bufio.NewReaderSize(r, readBufSize)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			if err != io.EOF && !isClosedErr(err) {
-				b.addErr(fmt.Errorf("netlive: shard %d read: %w", b.shard, err))
-			}
-			return
+		hdr, err := br.Peek(frameHdrLen)
+		if err != nil {
+			return b.readErr(err)
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[:4]))
+		n := binary.LittleEndian.Uint32(hdr)
 		kind := frameKind(hdr[4])
+		least, ok := minBody(kind)
+		switch {
+		case !ok:
+			return b.badFrame("unknown kind %d", kind)
+		case n > maxFrameLen:
+			return b.badFrame("kind %d length %d over the %d-byte limit", kind, n, maxFrameLen)
+		case n < uint32(least):
+			return b.badFrame("kind %d body of %d bytes, want at least %d", kind, n, least)
+		}
+		_, _ = br.Discard(frameHdrLen)
 		var body []byte
 		var buf *wire.Buf
-		if n > 0 {
-			buf = wire.Get(n)
+		if n <= readBufSize {
+			if body, err = br.Peek(int(n)); err != nil {
+				return b.readErr(err)
+			}
+		} else {
+			buf = wire.Get(int(n))
 			body = buf.Bytes()
-			if _, err := io.ReadFull(conn, body); err != nil {
+			if _, err = io.ReadFull(br, body); err != nil {
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d read body: %w", b.shard, err))
-				return
+				return b.readErr(err)
 			}
 		}
 		if met := b.met; met != nil {
 			met.Add(metrics.CtrFramesIn, 1)
-			met.Add(metrics.CtrBytesIn, int64(5+n))
+			met.Add(metrics.CtrBytesIn, int64(frameHdrLen+n))
 		}
-		switch kind {
-		case kPacket:
-			remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
-			if remote == nil {
-				panic("netlive: packet frame before the machine installed its remote handler")
-			}
-			src := int(binary.LittleEndian.Uint32(body))
-			dst := int(binary.LittleEndian.Uint32(body[4:]))
-			size := int(binary.LittleEndian.Uint32(body[8:]))
-			remote(src, dst, size, body[packetHdrLen:])
-		case kMainsDone:
-			b.shardDone(int(binary.LittleEndian.Uint32(body)))
-		case kAllDone:
-			b.fireQuiesce()
-		case kStats:
-			// The pooled body is recycled below; the payload must outlive it.
-			shard := int(binary.LittleEndian.Uint32(body))
-			b.statsMu.Lock()
-			b.peerStats[shard] = append([]byte(nil), body[4:]...)
-			b.statsMu.Unlock()
-		case kStatsReq:
-			b.sendStats()
-		case kDoorbell:
-			b.shmWake(int(binary.LittleEndian.Uint32(body)))
-		default:
-			b.addErr(fmt.Errorf("netlive: unknown frame kind %d", kind))
-		}
+		err = b.dispatch(kind, body)
 		if buf != nil {
 			buf.Release()
+		} else {
+			_, _ = br.Discard(int(n))
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
+// dispatch runs one validated-length frame. body is valid only for the
+// call.
+func (b *Backend) dispatch(kind frameKind, body []byte) error {
+	switch kind {
+	case kPacket:
+		src := binary.LittleEndian.Uint32(body)
+		dst := binary.LittleEndian.Uint32(body[4:])
+		size := binary.LittleEndian.Uint32(body[8:])
+		if src >= uint32(b.n) {
+			return b.badFrame("packet src %d out of range [0,%d)", src, b.n)
+		}
+		if dst < uint32(b.lo) || dst >= uint32(b.hi) {
+			return b.badFrame("packet dst %d not local (nodes [%d,%d))", dst, b.lo, b.hi)
+		}
+		remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
+		if remote == nil {
+			panic("netlive: packet frame before the machine installed its remote handler")
+		}
+		remote(int(src), int(dst), int(size), body[packetHdrLen:])
+	case kMainsDone:
+		s, err := b.shardID(body)
+		if err != nil {
+			return err
+		}
+		b.shardDone(s)
+	case kAllDone:
+		b.fireQuiesce()
+	case kStats, kStatsLast:
+		s, err := b.shardID(body)
+		if err != nil {
+			return err
+		}
+		b.storeStats(s, body[4:], kind == kStatsLast)
+	case kStatsReq:
+		b.sendStats(kStats)
+	case kDoorbell:
+		s, err := b.shardID(body)
+		if err != nil {
+			return err
+		}
+		b.shmWake(s)
+	default:
+		return b.badFrame("unknown kind %d", kind)
+	}
+	return nil
+}
+
+// shardID decodes the u32 shard id leading a control frame body.
+func (b *Backend) shardID(body []byte) (int, error) {
+	s := binary.LittleEndian.Uint32(body)
+	if s >= uint32(b.shards) {
+		return 0, b.badFrame("shard id %d out of range [0,%d)", s, b.shards)
+	}
+	return int(s), nil
+}
+
+// badFrame is the error for a frame that breaks the frame rules.
+func (b *Backend) badFrame(format string, args ...any) error {
+	return fmt.Errorf("netlive: shard %d: bad frame from peer: %s", b.shard, fmt.Sprintf(format, args...))
+}
+
+// readErr maps a read failure to readFrames' result: nil when the stream
+// just ended (see isClosedErr), else the wrapped error.
+func (b *Backend) readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF || isClosedErr(err) {
+		return nil
+	}
+	return fmt.Errorf("netlive: shard %d read: %w", b.shard, err)
+}
+
+// isClosedErr reports an I/O error that means the connection is gone rather
+// than broken: closed locally by teardown, or hung up (EPIPE) or reset
+// (ECONNRESET, a close with unread data) by a peer tearing down. A peer that
+// dies instead surfaces through its exit status and the watchdog.
 func isClosedErr(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // --- the per-peer writer ----------------------------------------------------
@@ -836,6 +996,33 @@ type outFrame struct {
 	src, dst, size int
 	buf            *wire.Buf
 	at             time.Duration // push time (backend clock), for writer-stall metrics
+}
+
+// bodyLen is the frame's body length on the wire.
+func (f *outFrame) bodyLen() int {
+	n := 0
+	if f.kind == kPacket {
+		n = packetHdrLen
+	}
+	if f.buf != nil {
+		n += f.buf.Len()
+	}
+	return n
+}
+
+// putHeader encodes the frame prefix and, for a packet, its src/dst/size
+// header into dst, returning the bytes written (at most
+// frameHdrLen+packetHdrLen).
+func (f *outFrame) putHeader(dst []byte) int {
+	binary.LittleEndian.PutUint32(dst, uint32(f.bodyLen()))
+	dst[4] = byte(f.kind)
+	if f.kind != kPacket {
+		return frameHdrLen
+	}
+	binary.LittleEndian.PutUint32(dst[5:], uint32(f.src))
+	binary.LittleEndian.PutUint32(dst[9:], uint32(f.dst))
+	binary.LittleEndian.PutUint32(dst[13:], uint32(f.size))
+	return frameHdrLen + packetHdrLen
 }
 
 // peer owns the connection to one remote shard: an unbounded ring of frames
@@ -867,10 +1054,17 @@ func newPeer(b *Backend, shard int) *peer {
 	return p
 }
 
-// push queues a frame (never blocks) and lazily starts the writer.
+// push queues a frame (never blocks) and lazily starts the writer. A frame
+// over maxFrameLen is refused — reported through Err and dropped — since
+// every reader would reject it.
 //
 //mpmd:coldpath its only allocation is the one-time lazy start of the per-peer writer goroutine
 func (p *peer) push(f outFrame) {
+	if n := f.bodyLen(); n > maxFrameLen {
+		p.b.addErr(fmt.Errorf("netlive: frame of %d bytes to shard %d over the %d-byte limit; dropped", n, p.shard, maxFrameLen))
+		f.buf.Release()
+		return
+	}
 	f.at = p.b.inner.Now()
 	p.mu.Lock()
 	if p.closed {
@@ -894,8 +1088,9 @@ func (p *peer) push(f outFrame) {
 	p.cond.Signal()
 }
 
-// flush waits (bounded) until every frame queued so far is on the wire. Only
-// meaningful while the queue is still open.
+// flush waits (bounded) until every frame queued so far is on the wire —
+// the write carrying its batch has returned. Only meaningful while the
+// queue is still open.
 func (p *peer) flush(timeout time.Duration) bool {
 	want := p.queued.Load()
 	deadline := time.Now().Add(timeout)
@@ -932,9 +1127,7 @@ func (p *peer) dial() (net.Conn, error) {
 	}
 }
 
-// writeLoop drains the frame ring onto the socket. The frame header is
-// assembled in a reusable scratch buffer and the pooled body released after
-// the write, so steady-state cross-shard sends allocate nothing here.
+// writeLoop dials the peer and drains the frame ring onto the connection.
 func (p *peer) writeLoop() {
 	conn, err := p.dial()
 	if err != nil {
@@ -943,42 +1136,28 @@ func (p *peer) writeLoop() {
 		return
 	}
 	defer conn.Close()
-	var scratch [5 + packetHdrLen]byte
-	for {
-		p.mu.Lock()
-		for p.q.Len() == 0 && !p.closed {
-			p.cond.Wait()
+	p.writeFrames(conn)
+}
+
+// writeFrames drains the frame ring onto w one batch per wake: every frame
+// queued at the wake, up to writeBatchCap bytes, goes out in a single write.
+// The bodies are released, and sent advanced, only after that write
+// returns, so flush keeps meaning "on the wire". Returns when the ring is
+// closed and drained, or after a write failure (the rest is dropped).
+func (p *peer) writeFrames(w io.Writer) {
+	bw := &batchWriter{buf: make([]byte, writeBatchCap+frameHdrLen+packetHdrLen)}
+	for p.popBatch(bw) {
+		met := p.b.met
+		if met != nil {
+			now := p.b.inner.Now()
+			for i := range bw.frames {
+				met.ObserveDur(metrics.HstWriterStall, now-bw.frames[i].at)
+			}
 		}
-		f, ok := p.q.Pop()
-		p.mu.Unlock()
-		if !ok {
-			return // closed and drained
-		}
-		if met := p.b.met; met != nil {
-			met.ObserveDur(metrics.HstWriterStall, p.b.inner.Now()-f.at)
-		}
-		hdr := scratch[:5]
-		bodyLen := 0
-		if f.kind == kPacket {
-			bodyLen = packetHdrLen
-			hdr = scratch[:5+packetHdrLen]
-			binary.LittleEndian.PutUint32(hdr[5:], uint32(f.src))
-			binary.LittleEndian.PutUint32(hdr[9:], uint32(f.dst))
-			binary.LittleEndian.PutUint32(hdr[13:], uint32(f.size))
-		}
-		if f.buf != nil {
-			bodyLen += f.buf.Len()
-		}
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(bodyLen))
-		hdr[4] = byte(f.kind)
-		_, werr := conn.Write(hdr)
-		if werr == nil && f.buf != nil {
-			_, werr = conn.Write(f.buf.Bytes())
-		}
-		if f.buf != nil {
-			f.buf.Release()
-		}
-		p.sent.Add(1)
+		n, werr := bw.write(w)
+		frames := len(bw.frames)
+		bw.release()
+		p.sent.Add(int64(frames))
 		if werr != nil {
 			if !isClosedErr(werr) {
 				p.b.addErr(fmt.Errorf("netlive: write to shard %d: %w", p.shard, werr))
@@ -986,11 +1165,85 @@ func (p *peer) writeLoop() {
 			p.drainAndDrop()
 			return
 		}
-		if met := p.b.met; met != nil {
-			met.Add(metrics.CtrFramesOut, 1)
-			met.Add(metrics.CtrBytesOut, int64(5+bodyLen)) // total wire bytes: length prefix + kind + body
+		if met != nil {
+			met.Add(metrics.CtrWrites, 1)
+			met.Add(metrics.CtrFramesOut, int64(frames))
+			met.Add(metrics.CtrBytesOut, int64(n)) // total wire bytes: length prefixes + kinds + bodies
 		}
 	}
+}
+
+// popBatch waits for queued frames and moves the next batch into bw: frames
+// in queue order while their whole encoding fits writeBatchCap, plus the
+// first frame that does not fit, which ends the batch. False once the ring
+// is closed and drained.
+func (p *peer) popBatch(bw *batchWriter) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.q.Len() == 0 && !p.closed {
+		p.cond.Wait()
+	}
+	used := 0
+	for {
+		f, ok := p.q.Pop()
+		if !ok {
+			break
+		}
+		bw.frames = append(bw.frames, f)
+		used += frameHdrLen + f.bodyLen()
+		if used > writeBatchCap {
+			bw.tail = true
+			break
+		}
+	}
+	return len(bw.frames) > 0
+}
+
+// batchWriter is the writer goroutine's batch state: the frames popped for
+// one write, the reusable coalescing buffer they are encoded into, and the
+// two-element iovec for a batch whose last (tail) frame did not fit — its
+// header is encoded with the rest, its body written from its own buffer.
+type batchWriter struct {
+	frames []outFrame
+	tail   bool
+	buf    []byte
+	vec    [2][]byte
+	bufs   net.Buffers
+}
+
+// write encodes the batch — byte for byte the frames' individual encodings,
+// concatenated — and puts it on w with one Write, or one writev when the
+// batch has a tail body. Returns the bytes written.
+func (bw *batchWriter) write(w io.Writer) (int, error) {
+	n := 0
+	last := len(bw.frames) - 1
+	for i := range bw.frames {
+		f := &bw.frames[i]
+		n += f.putHeader(bw.buf[n:])
+		if f.buf != nil && !(bw.tail && i == last) {
+			n += copy(bw.buf[n:], f.buf.Bytes())
+		}
+	}
+	if t := bw.frames[last].buf; bw.tail && t != nil {
+		bw.vec = [2][]byte{bw.buf[:n], t.Bytes()}
+		bw.bufs = bw.vec[:]
+		m, err := bw.bufs.WriteTo(w)
+		return int(m), err
+	}
+	return w.Write(bw.buf[:n])
+}
+
+// release returns the batch's bodies to their pools and empties it.
+func (bw *batchWriter) release() {
+	for i := range bw.frames {
+		if b := bw.frames[i].buf; b != nil {
+			b.Release()
+		}
+	}
+	clear(bw.frames)
+	bw.frames = bw.frames[:0]
+	bw.tail = false
+	bw.vec = [2][]byte{}
 }
 
 // drainAndDrop releases queued frames after a connection failure so buffer

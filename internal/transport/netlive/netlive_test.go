@@ -1,10 +1,13 @@
 package netlive
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,6 +216,152 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 	}
 }
 
+// runPair runs both shards' machines to completion and fails the test if
+// either Run returns an error.
+func runPair(t *testing.T, a, b *shardRig) {
+	t.Helper()
+	var wg sync.WaitGroup
+	var errA, errB error
+	wg.Add(2)
+	go func() { defer wg.Done(); errA = a.m.Run() }()
+	go func() { defer wg.Done(); errB = b.m.Run() }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatalf("Run: shard0=%v shard1=%v", errA, errB)
+	}
+}
+
+// TestSocketBurstMixedSizes pushes a socket-only burst from two senders on
+// shard 0 to node 2 on shard 1: shorts (no payload) and bulks of 1 KiB and
+// of more than both the reader's buffer and the writer's batch cap,
+// interleaved with stats requests so control frames share the streams in
+// both directions. The receiver checks per-sender order and every payload
+// byte; the writer's counters show the frames left in batched writes.
+func TestSocketBurstMixedSizes(t *testing.T) {
+	const (
+		n     = 4
+		nps   = 2
+		k     = 30
+		large = writeBatchCap + readBufSize/2
+	)
+	noShm := func(o *Options) { o.DisableShm = true }
+	dir := t.TempDir()
+	a := newShardRig(t, n, nps, 0, dir, noShm)
+	b := newShardRig(t, n, nps, 1, dir, noShm)
+	sizes := []int{0, 1 << 10, large}
+	pattern := func(from, i, j int) byte { return byte(from*101 + i*13 + j*7) }
+
+	next := [2]int{}
+	got := 0
+	bad := ""
+	check := func(m am.Msg) {
+		from, i := int(m.A[0]), int(m.A[1])
+		if i != next[from] {
+			bad = fmt.Sprintf("sender %d: message %d arrived when %d was due", from, i, next[from])
+		}
+		next[from] = i + 1
+		if want := sizes[i%len(sizes)]; len(m.Payload) != want {
+			bad = fmt.Sprintf("sender %d message %d: %d payload bytes, want %d", from, i, len(m.Payload), want)
+		}
+		for j, by := range m.Payload {
+			if by != pattern(from, i, j) {
+				bad = fmt.Sprintf("sender %d message %d: byte %d corrupted", from, i, j)
+				break
+			}
+		}
+		got++
+	}
+	hShort := b.net.Register("m.short", func(_ *threads.Thread, m am.Msg) { check(m) })
+	hBulk := b.net.Register("m.bulk", func(_ *threads.Thread, m am.Msg) { check(m) })
+	_ = a.net.Register("m.short", func(*threads.Thread, am.Msg) {})
+	_ = a.net.Register("m.bulk", func(*threads.Thread, am.Msg) {})
+
+	for from := 0; from < 2; from++ {
+		a.scheds[from].Start("sender", func(th *threads.Thread) {
+			ep := a.net.Endpoint(from)
+			for i := 0; i < k; i++ {
+				size := sizes[i%len(sizes)]
+				args := [4]uint64{uint64(from), uint64(i)}
+				if size == 0 {
+					ep.RequestShort(th, 2, hShort, args)
+				} else {
+					buf := make([]byte, size)
+					for j := range buf {
+						buf[j] = pattern(from, i, j)
+					}
+					ep.RequestBulk(th, 2, hBulk, buf, args)
+				}
+				if i%4 == 0 {
+					a.m.RequestStats()
+				}
+			}
+		})
+	}
+	b.scheds[2].Start("receiver", func(th *threads.Thread) {
+		b.net.Endpoint(2).PollUntil(th, func() bool { return got == 2*k })
+	})
+	runPair(t, a, b)
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if got != 2*k {
+		t.Fatalf("received %d messages, want %d", got, 2*k)
+	}
+	snap := a.be.MetricsSnapshot()
+	frames, writes := snap.Counter(metrics.CtrFramesOut), snap.Counter(metrics.CtrWrites)
+	if frames < 2*k || writes < 1 || writes > frames {
+		t.Fatalf("net.frames.out=%d net.writes=%d: want >= %d frames in at most as many writes", frames, writes, 2*k)
+	}
+}
+
+// TestTeardownWhileStreaming tears shard 1 down while shard 0 is still
+// streaming bulk frames at it, each larger than the read buffer, so the
+// reader is almost always inside a body when its connection closes. Both
+// sides must treat the cut stream as teardown: Run returns nil on each.
+func TestTeardownWhileStreaming(t *testing.T) {
+	const (
+		n     = 4
+		nps   = 2
+		bulk  = 4 * readBufSize
+		ahead = 4 // frames queued ahead of the writer
+	)
+	noShm := func(o *Options) { o.DisableShm = true }
+	dir := t.TempDir()
+	a := newShardRig(t, n, nps, 0, dir, noShm)
+	b := newShardRig(t, n, nps, 1, dir, noShm)
+
+	got := 0
+	hBulk := b.net.Register("d.bulk", func(*threads.Thread, am.Msg) { got++ })
+	_ = a.net.Register("d.bulk", func(*threads.Thread, am.Msg) {})
+
+	var workerDone atomic.Bool
+	a.scheds[0].Start("streamer", func(th *threads.Thread) {
+		ep := a.net.Endpoint(0)
+		buf := make([]byte, bulk)
+		p := a.be.peers[1]
+		deadline := time.Now().Add(10 * time.Second)
+		for !workerDone.Load() && time.Now().Before(deadline) {
+			ep.RequestBulk(th, 2, hBulk, buf, [4]uint64{})
+			for p.queued.Load()-p.sent.Load() > ahead && time.Now().Before(deadline) {
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	})
+	b.scheds[2].Start("receiver", func(th *threads.Thread) {
+		b.net.Endpoint(2).PollUntil(th, func() bool { return got >= 3 })
+	})
+
+	var wg sync.WaitGroup
+	var errA, errB error
+	wg.Add(2)
+	go func() { defer wg.Done(); errA = a.m.Run() }()
+	go func() { defer wg.Done(); errB = b.m.Run(); workerDone.Store(true) }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatalf("Run with frames in flight at teardown: shard0=%v shard1=%v", errA, errB)
+	}
+}
+
 // TestShmRingWraparoundAliasing forces the ring through many wraps and
 // full-ring producer waits: an 8 KiB ring carrying 200 patterned 1 KiB bulks
 // holds only a handful of records at a time. The receiving handler scans its
@@ -410,9 +559,25 @@ func TestTwoShardsStats(t *testing.T) {
 	hAck = a.net.Register("s.ack", func(*threads.Thread, am.Msg) { acks++ })
 	_ = b.net.Register("s.ack", func(*threads.Thread, am.Msg) {})
 
+	// Halfway through, the parent asks for a mid-run sample and waits for
+	// it to land: the parent must not then take that sample for the
+	// worker's final report.
+	var midRun machine.ShardStats
+	midErr := ""
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep := a.net.Endpoint(0)
 		for i := 0; i < k; i++ {
+			if i == k/2 {
+				ep.PollUntil(th, func() bool { return acks == k/2 })
+				a.m.RequestStats()
+				deadline := time.Now().Add(10 * time.Second)
+				for a.be.PeerStats()[1] == nil && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if err := json.Unmarshal(a.be.PeerStats()[1], &midRun); err != nil {
+					midErr = "no mid-run stats sample: " + err.Error()
+				}
+			}
 			ep.RequestShort(th, 2, hPing, [4]uint64{uint64(i)})
 		}
 		ep.PollUntil(th, func() bool { return acks == k })
@@ -437,6 +602,16 @@ func TestTwoShardsStats(t *testing.T) {
 	cs, err := a.m.ClusterStats()
 	if err != nil {
 		t.Fatalf("ClusterStats on parent: %v", err)
+	}
+	if midErr != "" {
+		t.Fatal(midErr)
+	}
+	if got := midRun.Acct.Counters[machine.CntHandlersRun]; got >= k {
+		t.Fatalf("mid-run sample already counts %d handler runs, want fewer than %d", got, k)
+	}
+	// The merged report carries the worker's final counts, not the sample.
+	if final := b.m.LocalStats().Acct; cs.Shards[1].Acct != final {
+		t.Fatalf("shard 1 totals after Run are not its final counts:\n got %v\nwant %v", cs.Shards[1].Acct, final)
 	}
 	if len(cs.Shards) != 2 || cs.Shards[0].Shard != 0 || cs.Shards[1].Shard != 1 {
 		t.Fatalf("shards = %+v, want [0 1]", cs.Shards)

@@ -7,8 +7,8 @@
 // A cross-shard packet is marshaled by the sender directly into a ring
 // slot (the slot-backed wire.Buf), published with an atomic cursor store,
 // and consumed in place by the receiving shard's ring reader — the same
-// length-delimited AM frame bytes the socket path carries, minus the two
-// syscalls per frame.
+// length-delimited AM frame bytes the socket path carries, minus the
+// write and read syscalls.
 //
 // The protocol is futex-free: a waiting consumer spins a bounded number of
 // yields, then publishes a "parked" flag in the shared header and blocks;
