@@ -98,16 +98,27 @@ func (m *Msg) EncodeWire(b []byte) int {
 }
 
 // DecodeWireMsg reconstructs a pooled Msg envelope from the serialized form,
-// copying the payload into a fresh pooled wire buffer. It is installed as the
-// machine's wire decoder by NewNet, so packets arriving from a peer shard
-// re-enter the inbox exactly as locally sent ones do.
-func DecodeWireMsg(src, dst int, b []byte) any {
+// copying the payload into a fresh pooled wire buffer. The bytes come from
+// another address space, so they are checked, not trusted: b must hold the
+// whole header, and the handler ID must be below handlers, the number of
+// registered handlers. A violation is an error and nothing is
+// allocated. Net installs it as the machine's wire decoder, so packets
+// arriving from a peer shard re-enter the inbox exactly as locally sent ones
+// do.
+func DecodeWireMsg(src, dst int, b []byte, handlers int) (*Msg, error) {
+	if len(b) < wireHeaderLen {
+		return nil, fmt.Errorf("am: message of %d bytes, shorter than its %d-byte header", len(b), wireHeaderLen)
+	}
+	h := binary.LittleEndian.Uint32(b[1:])
+	if uint64(h) >= uint64(handlers) {
+		return nil, fmt.Errorf("am: message for handler %d, only %d registered", h, handlers)
+	}
 	m := msgPool.Get().(*Msg)
 	*m = Msg{
 		Bulk: b[0]&1 != 0,
 		Src:  src,
 		Dst:  dst,
-		H:    HandlerID(binary.LittleEndian.Uint32(b[1:])),
+		H:    HandlerID(h),
 	}
 	off := 5
 	for i := range m.A {
@@ -120,7 +131,7 @@ func DecodeWireMsg(src, dst int, b []byte) any {
 		m.PayloadBuf = wire.Copy(b[off:])
 		m.Payload = m.PayloadBuf.Bytes()
 	}
-	return m
+	return m, nil
 }
 
 // SendOpts parameterizes Request for transports layered over the AM engine.
@@ -176,13 +187,23 @@ func NewNet(m *machine.Machine) *Net {
 	n := &Net{m: m}
 	// Messages are the machine's serializable packet payload: install the
 	// codec so sharded backends can carry them across address spaces.
-	m.SetWireDecoder(DecodeWireMsg)
+	m.SetWireDecoder(n.decodeWire)
 	for _, node := range m.Nodes() {
 		ep := &Endpoint{net: n, node: node}
 		node.OnArrival = ep.onArrival
 		n.eps = append(n.eps, ep)
 	}
 	return n
+}
+
+// decodeWire is the machine's wire decoder: DecodeWireMsg against the
+// handlers registered so far (all of them, once the machine runs).
+func (n *Net) decodeWire(src, dst int, b []byte) (any, error) {
+	m, err := DecodeWireMsg(src, dst, b, len(n.handlers))
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Machine returns the underlying machine.
@@ -221,6 +242,7 @@ func (ep *Endpoint) Stop() {
 	ep.stopped = true
 	ws := ep.waiters
 	ep.waiters = nil
+	ep.node.Disarm()
 	for _, w := range ws {
 		ep.sched.MakeReady(w)
 	}
@@ -237,8 +259,14 @@ func (ep *Endpoint) Stopped() bool { return ep.stopped }
 // woken thread leaves messages behind.
 func (ep *Endpoint) onArrival() { ep.wakeOne() }
 
+// wakeOne readies the most recent waiter. The wake that leaves no thread
+// parked disarms the node's doorbell: until some thread parks again,
+// arrivals are found by polling and need no notify.
 func (ep *Endpoint) wakeOne() {
 	n := len(ep.waiters)
+	if n <= 1 {
+		ep.node.Disarm()
+	}
 	if n == 0 {
 		return
 	}
@@ -378,6 +406,9 @@ func (ep *Endpoint) Poll(t *threads.Thread) bool {
 	msg := *pm
 	*pm = Msg{}
 	msgPool.Put(pm)
+	if uint(msg.H) >= uint(len(ep.net.handlers)) {
+		panic(fmt.Sprintf("am: node %d: message for unregistered handler %d", ep.node.ID, msg.H))
+	}
 	cfg := t.Cfg()
 	over := cfg.RecvOverhead + msg.RecvExtra + ep.interruptCost
 	if msg.Bulk {
@@ -406,8 +437,20 @@ func (ep *Endpoint) PollAll(t *threads.Thread) {
 // WaitMessage parks the thread until a message arrives at the node (or the
 // endpoint is stopped). It returns immediately if the inbox is non-empty.
 // Callers poll after it returns.
+//
+// The node is armed before the inbox check, so on direct-delivery backends
+// a message that lands after the check rings the doorbell and wakes the
+// thread (see machine.Node.Arm). The check and the registration run without
+// releasing the node's CPU, so no notify can run between them.
 func (ep *Endpoint) WaitMessage(t *threads.Thread) {
-	if ep.node.InboxLen() > 0 || ep.stopped {
+	if ep.stopped {
+		return
+	}
+	ep.node.Arm()
+	if ep.node.InboxLen() > 0 {
+		if len(ep.waiters) == 0 {
+			ep.node.Disarm()
+		}
 		return
 	}
 	ep.waiters = append(ep.waiters, t)

@@ -1,6 +1,8 @@
 package am
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,7 +199,10 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	if got := msg.EncodeWire(enc); got != n {
 		t.Fatalf("EncodeWire wrote %d, WireLen said %d", got, n)
 	}
-	out := DecodeWireMsg(3, 7, enc).(*Msg)
+	out, err := DecodeWireMsg(3, 7, enc, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !out.Bulk || out.Src != 3 || out.Dst != 7 || out.H != 42 ||
 		out.A != [4]uint64{1, 2, 1 << 40, ^uint64(0)} ||
 		out.RecvExtra != 5*time.Microsecond {
@@ -217,12 +222,47 @@ func TestShortWireCodecNoPayload(t *testing.T) {
 	*msg = Msg{Src: 0, Dst: 1, H: 9, A: [4]uint64{8, 0, 0, 4}}
 	enc := make([]byte, msg.WireLen())
 	msg.EncodeWire(enc)
-	out := DecodeWireMsg(0, 1, enc).(*Msg)
+	out, err := DecodeWireMsg(0, 1, enc, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Bulk || out.H != 9 || out.A != [4]uint64{8, 0, 0, 4} || out.PayloadBuf != nil {
 		t.Fatalf("decoded %+v", out)
 	}
 	*out = Msg{}
 	msgPool.Put(out)
+}
+
+// TestDecodeWireMsgRejects: bytes from a peer shard that are shorter than
+// the header, or name a handler that is not registered, are an error — not
+// a panic, and not a message in the inbox.
+func TestDecodeWireMsgRejects(t *testing.T) {
+	msg := msgPool.Get().(*Msg)
+	*msg = Msg{H: 3}
+	enc := make([]byte, msg.WireLen())
+	msg.EncodeWire(enc)
+	cases := []struct {
+		name     string
+		b        []byte
+		handlers int
+		want     string
+	}{
+		{"empty", nil, 4, "shorter than its 45-byte header"},
+		{"one byte short", enc[:wireHeaderLen-1], 4, "shorter than its 45-byte header"},
+		{"handler not registered", enc, 3, "handler 3, only 3 registered"},
+		{"no handlers", enc, 0, "handler 3, only 0 registered"},
+	}
+	for _, tc := range cases {
+		out, err := DecodeWireMsg(0, 1, tc.b, tc.handlers)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || out != nil {
+			t.Errorf("%s: DecodeWireMsg = %v, %v; want nil and an error containing %q", tc.name, out, err, tc.want)
+		}
+	}
+	huge := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(huge[1:], 0xFFFFFFFF)
+	if _, err := DecodeWireMsg(0, 1, huge, 4); err == nil {
+		t.Error("handler 0xFFFFFFFF accepted")
+	}
 }
 
 func TestCountersAndBytes(t *testing.T) {

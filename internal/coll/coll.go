@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -50,8 +51,10 @@ type collObj struct {
 // trampolines they are wall-time-only glue — the wire traffic around them
 // carries the modelled cost.
 type DistHooks struct {
-	// Get encodes the element at owner-local offset off.
-	Get func(off int) []byte
+	// Get appends the encoding of the element at owner-local offset off to
+	// dst and returns the extended slice. dget passes its pooled reply
+	// frame, so a warm get encodes without allocating.
+	Get func(off int, dst []byte) []byte
 	// Put decodes b into the element at owner-local offset off.
 	Put func(off int, b []byte)
 }
@@ -133,7 +136,8 @@ func (c *Comm) collClass() *core.Class {
 					if !ok {
 						panic("coll: dget for unknown dist " + args[0].(*core.Str).V)
 					}
-					ret.(*core.Bytes).V = h.Get(int(args[1].(*core.I64).V))
+					rb := ret.(*core.Bytes)
+					rb.V = h.Get(int(args[1].(*core.I64).V), rb.V[:0])
 				},
 			},
 			{
@@ -579,12 +583,29 @@ func (c *Comm) DistPut(t *threads.Thread, node int, id string, off int, b []byte
 		[]core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}, &core.Bytes{V: b}}, nil)
 }
 
-// DistGetAsync starts a split-phase read; the returned Bytes holds the
-// encoded element once the future completes.
-func (c *Comm) DistGetAsync(t *threads.Thread, node int, id string, off int) (*core.Future, *core.Bytes) {
-	ret := &core.Bytes{}
-	f := c.rt.CallAsync(t, c.objs[node], "dget", []core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}}, ret)
-	return f, ret
+// dgetArgs is the argument frame of one dget call. Frames are pooled:
+// CallAsync has marshalled the arguments (or, for a local get, run the
+// non-threaded dget on them) by the time it returns.
+type dgetArgs struct {
+	id   core.Str
+	off  core.I64
+	args [2]core.Arg
+}
+
+var dgetArgsPool = sync.Pool{New: func() any {
+	f := new(dgetArgs)
+	f.args = [2]core.Arg{&f.id, &f.off}
+	return f
+}}
+
+// DistGetAsync starts a split-phase read; ret, which the caller owns, holds
+// the encoded element once the future completes.
+func (c *Comm) DistGetAsync(t *threads.Thread, node int, id string, off int, ret *core.Bytes) *core.Future {
+	f := dgetArgsPool.Get().(*dgetArgs)
+	f.id.V, f.off.V = id, int64(off)
+	fut := c.rt.CallAsync(t, c.objs[node], "dget", f.args[:], ret)
+	dgetArgsPool.Put(f)
+	return fut
 }
 
 // DistPutAsync starts a split-phase write; the future completes when the

@@ -144,12 +144,17 @@ func (a *Str) Encode(b []byte) int {
 	return 8 + len(a.V)
 }
 
-// Decode implements Arg.
+// Decode implements Arg. A pooled decode frame usually sees the same string
+// call after call (a Dist's id, a collective's key), so the current value
+// is kept when the bytes match; otherwise the string is copied out of the
+// recycled wire buffer.
 //
-//mpmd:coldpath a string argument must copy out of the recycled wire buffer; strings are immutable
+//mpmd:coldpath copies a string argument out of the wire buffer only when it differs from the frame's current value
 func (a *Str) Decode(b []byte) int {
 	n := int(getU64(b))
-	a.V = string(b[8 : 8+n])
+	if s := b[8 : 8+n]; a.V != string(s) {
+		a.V = string(s)
+	}
 	return 8 + n
 }
 

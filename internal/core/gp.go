@@ -183,13 +183,7 @@ func (rt *Runtime) registerGPHandlers() {
 }
 
 // complete lands a GP operation at its initiator according to call mode.
-func (rq *gpReq) complete(t *threads.Thread) {
-	rq.comp.done = true
-	switch rq.comp.mode {
-	case modeBlock, modeFuture:
-		rq.comp.sv.Write(t, nil)
-	}
-}
+func (rq *gpReq) complete(t *threads.Thread) { rq.comp.land(t) }
 
 // ReadF64 dereferences a global pointer to a double (lx = *gp). Local
 // pointers pay only the locality check; remote ones perform the small
@@ -254,23 +248,24 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 func (rt *Runtime) WriteF64Async(t *threads.Thread, gp GPF64, v float64) *Future {
 	n := rt.nodeOf(t)
 	cfg := t.Cfg()
+	f := &Future{}
+	f.rec.comp.mode = modeFuture
 	if int(gp.node) == n.node.ID {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		chargeRuntime(t, cfg.LocalGPDeref)
 		*gp.ptr = v
-		comp := &completion{mode: modeFuture, done: true}
-		comp.sv.Write(t, nil)
-		return &Future{rt: rt, comp: comp}
+		f.rec.comp.land(t)
+		return f
 	}
 	n.node.Acct.Count(machine.CntRemoteWrite, 1)
 	lockPair(t, &n.rtLock)
 	chargeRuntime(t, cfg.StubLookup+gpIssueCost)
-	rq := &gpReq{comp: &completion{mode: modeFuture}}
+	rq := &gpReq{comp: &f.rec.comp}
 	id := n.addGP(rq)
 	lockPair(t, &n.commLock)
 	rt.tr.Send(t, n.node.ID, int(gp.node), rt.hGPWrite,
 		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil, false)
-	return &Future{rt: rt, comp: rq.comp}
+	return f
 }
 
 // waitComp waits for a completion according to its mode.

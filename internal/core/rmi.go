@@ -42,7 +42,7 @@ type completion struct {
 	sv   threads.SyncVar
 }
 
-// rmiMsg is the sender-side record of one in-flight RMI: the completion
+// callRec is the sender-side record of one in-flight RMI: the completion
 // state and return destination. It never travels — the invocation message
 // carries a request ID (a slot in the sender node's pending table, packed
 // into the word arguments) and the reply echoes it, exactly the request-ID
@@ -50,8 +50,14 @@ type completion struct {
 // wire words on the destination side: the object from its object table, the
 // method from its stub registry, the persistent R-buffer from its buffer
 // table.
-type rmiMsg struct {
-	comp *completion
+//
+// Synchronous and one-way calls draw their record from callRecPool and
+// recycle it once the call is over — the warm path's stand-in for the
+// per-call-site records a CC++ stub would keep next to the stub cache. A
+// future's record lives inside the Future, whose lifetime is the
+// application's.
+type callRec struct {
+	comp completion
 	ret  Arg
 	// t0 is the send instant on the backend clock, set only when the node
 	// has a wall-clock metrics registry (live backends); the reply handler
@@ -66,40 +72,29 @@ type rmiMsg struct {
 // on the same node — so the table needs no lock.
 //
 //mpmd:hotpath
-func (n *nodeRT) addPending(msg *rmiMsg) uint64 {
+func (n *nodeRT) addPending(rec *callRec) uint64 {
 	if ln := len(n.freeIDs); ln > 0 {
 		id := n.freeIDs[ln-1]
 		n.freeIDs = n.freeIDs[:ln-1]
-		n.pending[id] = msg
+		n.pending[id] = rec
 		return uint64(id) + 1
 	}
-	n.pending = append(n.pending, msg)
+	n.pending = append(n.pending, rec)
 	return uint64(len(n.pending))
 }
 
 // takePending resolves a reply's request ID and frees the slot.
 //
 //mpmd:hotpath
-func (n *nodeRT) takePending(wireID uint64) *rmiMsg {
+func (n *nodeRT) takePending(wireID uint64) *callRec {
 	id := uint32(wireID - 1)
-	msg := n.pending[id]
-	if msg == nil {
+	rec := n.pending[id]
+	if rec == nil {
 		panic(fmt.Sprintf("core: node %d reply for unknown request %d", n.node.ID, wireID))
 	}
 	n.pending[id] = nil
 	n.freeIDs = append(n.freeIDs, id)
-	return msg
-}
-
-// callRec is a pooled sender-side call record: the envelope plus completion
-// of one synchronous RMI, recycled once the caller has observed completion —
-// the warm path's stand-in for the per-call-site records a CC++ stub would
-// keep next to the stub cache. Only synchronous modes (spin/block) pool:
-// futures hand their completion to the application, and one-way envelopes
-// are last touched by the receiver.
-type callRec struct {
-	msg  rmiMsg
-	comp completion
+	return rec
 }
 
 var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
@@ -108,28 +103,38 @@ var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
 // variable keeps its waiter backing array, so a recycled record's blocking
 // read stops allocating.
 func (r *callRec) release() {
-	r.msg = rmiMsg{}
+	r.ret, r.t0 = nil, 0
 	r.comp.done = false
 	r.comp.sv.Reset()
 	callRecPool.Put(r)
 }
 
-// Future is the join handle of an asynchronous RMI.
+// Future is the join handle of an asynchronous RMI. It holds the call's
+// record itself, so starting an asynchronous call allocates one object.
 type Future struct {
-	rt   *Runtime
-	comp *completion
+	rec callRec
 }
 
 // Wait blocks until the RMI's reply has landed.
 func (f *Future) Wait(t *threads.Thread) {
-	if f.comp.mode != modeFuture {
+	if f.rec.comp.mode != modeFuture {
 		panic("core: Wait on non-future completion")
 	}
-	f.comp.sv.Read(t)
+	f.rec.comp.sv.Read(t)
 }
 
 // Done reports (without blocking) whether the reply has landed.
-func (f *Future) Done() bool { return f.comp.done }
+func (f *Future) Done() bool { return f.rec.comp.done }
+
+// land marks the call complete and wakes a reader blocked on it (spinning
+// callers poll done instead).
+func (c *completion) land(t *threads.Thread) {
+	c.done = true
+	switch c.mode {
+	case modeBlock, modeFuture:
+		c.sv.Write(t, nil)
+	}
+}
 
 // Call performs a synchronous RMI: marshal args, transfer, run the method
 // remotely, and wait for its completion (and return value, when the method
@@ -152,10 +157,11 @@ func (rt *Runtime) CallSimple(t *threads.Thread, gp GPtr, method string, args []
 }
 
 // CallAsync starts an RMI and returns a Future to join on. ret, if non-nil,
-// is filled in by the time Wait returns.
+// is filled in by the time Wait returns. A remote call marshals args, and a
+// local non-threaded one consumes them, before CallAsync returns; a local
+// threaded method reads them later, from its own thread.
 func (rt *Runtime) CallAsync(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) *Future {
-	comp := rt.invoke(t, gp, method, args, ret, modeFuture)
-	return &Future{rt: rt, comp: comp}
+	return rt.invoke(t, gp, method, args, ret, modeFuture)
 }
 
 // CallOneWay starts an RMI with no completion reply at all (the CC++
@@ -164,10 +170,11 @@ func (rt *Runtime) CallOneWay(t *threads.Thread, gp GPtr, method string, args []
 	rt.invoke(t, gp, method, args, nil, modeOneWay)
 }
 
-// invoke is the common sender path.
+// invoke is the common sender path. It returns the Future of a modeFuture
+// call and nil otherwise.
 //
 //mpmd:hotpath
-func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, mode callMode) *completion {
+func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, mode callMode) *Future {
 	if gp.Nil() {
 		panic("core: RMI through nil global pointer")
 	}
@@ -185,6 +192,19 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	}
 	n.node.Acct.Count(machine.CntRMI, 1)
 
+	// The call record: a future carries its own (its lifetime escapes this
+	// call); every other mode draws one from the pool and recycles it
+	// before returning.
+	var fut *Future
+	var rec *callRec
+	if mode == modeFuture {
+		fut = &Future{} //mpmdvet:ignore hotpath a future's record outlives the call: one allocation per asynchronous RMI, documented cold branch
+		rec = &fut.rec
+	} else {
+		rec = callRecPool.Get().(*callRec)
+	}
+	rec.comp.mode = mode
+
 	// Runtime bookkeeping under the runtime lock.
 	lockPair(t, &n.rtLock)
 
@@ -193,7 +213,11 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	if int(gp.node) == n.node.ID {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		t.Charge(machine.CatRuntime, cfg.LocalGPDeref+cfg.StubLookup)
-		return rt.dispatchLocal(t, n, bm, gp, args, ret, mode)
+		rt.dispatchLocal(t, n, bm, gp, args, ret, &rec.comp)
+		if fut == nil {
+			rec.release()
+		}
+		return fut
 	}
 
 	// Method-stub cache lookup (§4: indexed by processor number and method
@@ -229,30 +253,16 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 			time.Duration(argLen)*cfg.MemCopyPerByte)
 	lockPair(t, &n.bufLock) // S-buffer pool
 
-	// Synchronous calls draw their envelope+completion from the record
-	// pool; futures and one-ways allocate, since their lifetime escapes
-	// this call.
-	var rec *callRec
-	var comp *completion
-	var msg *rmiMsg
-	if mode == modeSpin || mode == modeBlock {
-		rec = callRecPool.Get().(*callRec)
-		comp, msg = &rec.comp, &rec.msg
-		comp.mode = mode
-	} else {
-		comp = &completion{mode: mode} //mpmdvet:ignore hotpath future/one-way completions outlive the call — documented cold branch
-		msg = &rmiMsg{}                //mpmdvet:ignore hotpath future/one-way envelopes outlive the call — documented cold branch
-	}
-	msg.comp, msg.ret = comp, ret
+	rec.ret = ret
 	var flags uint64
 	var reqID uint64
 	if mode != modeOneWay {
 		flags |= flagWantReply
 		// The reply finds this call through the sender's pending table; only
 		// the slot's wire ID travels, packed into the flags word's high half.
-		reqID = n.addPending(msg)
+		reqID = n.addPending(rec)
 		if n.node.Met != nil {
-			msg.t0 = n.node.M.Now()
+			rec.t0 = n.node.M.Now()
 		}
 	}
 	a := [4]uint64{0, uint64(gp.obj), 0, 0}
@@ -279,19 +289,18 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	rt.tr.SendBuf(t, n.node.ID, int(gp.node), rt.hInvoke, a, buf, false)
 
 	switch mode {
+	case modeFuture:
+		return fut
 	case modeSpin:
-		rt.pollUntilDone(t, n.node.ID, comp)
+		rt.pollUntilDone(t, n.node.ID, &rec.comp)
 	case modeBlock:
-		comp.sv.Read(t)
+		rec.comp.sv.Read(t)
 	}
-	if rec != nil {
-		// Completion observed: the reply handler has run to completion on
-		// this node's CPU, so nothing references the record any more. The
-		// synchronous callers discard the return value.
-		rec.release()
-		return nil
-	}
-	return comp
+	// Completion observed (or, one-way, the message is on its way with
+	// nothing pending): the reply handler has run to completion on this
+	// node's CPU, so nothing references the record any more.
+	rec.release()
+	return nil
 }
 
 // lookupMethod resolves the sender-side stub info (the translator would have
@@ -311,10 +320,11 @@ func (rt *Runtime) lookupMethod(gp GPtr, method string) *boundMethod {
 
 // dispatchLocal runs an RMI whose target lives on the calling node: no
 // marshalling, no messages, but threaded/atomic semantics are preserved.
-// The returned completion lets local futures join exactly like remote ones.
+// It lands the call in comp, so local futures join exactly like remote
+// ones; for synchronous modes it returns once the method has run.
 //
-//mpmd:coldpath local dispatch spawns threads and builds completions by design; the allocation-free contract covers the remote wire path
-func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, gp GPtr, args []Arg, ret Arg, mode callMode) *completion {
+//mpmd:coldpath local dispatch spawns threads and builds closures by design; the allocation-free contract covers the remote wire path
+func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, gp GPtr, args []Arg, ret Arg, comp *completion) {
 	self := n.objs.Get(gp.obj)
 	run := func(t2 *threads.Thread) {
 		if bm.m.Atomic {
@@ -326,24 +336,21 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 	}
 	if !bm.m.Threaded && !bm.m.Atomic {
 		run(t)
-		comp := &completion{mode: mode, done: true}
-		if mode == modeFuture {
+		comp.done = true
+		if comp.mode == modeFuture {
 			comp.sv.Write(t, nil)
 		}
-		return comp
+		return
 	}
-	switch mode {
+	switch comp.mode {
 	case modeOneWay:
 		t.Spawn("lrmi:"+bm.m.Name, run)
-		return &completion{mode: mode}
 	case modeFuture:
-		done := &completion{mode: mode}
 		t.Spawn("lrmi:"+bm.m.Name, func(t2 *threads.Thread) {
 			run(t2)
-			done.done = true
-			done.sv.Write(t2, nil)
+			comp.done = true
+			comp.sv.Write(t2, nil)
 		})
-		return done
 	default:
 		// Synchronous local threaded call: spawn and join.
 		var wg threads.WaitGroup
@@ -353,7 +360,7 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 			wg.Done(t2)
 		})
 		wg.Wait(t)
-		return &completion{mode: mode, done: true}
+		comp.done = true
 	}
 }
 
@@ -564,31 +571,26 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 //mpmd:hotpath
 func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	msg := n.takePending(m.A[0])
-	if msg.t0 > 0 {
+	rec := n.takePending(m.A[0])
+	if rec.t0 > 0 {
 		if met := n.node.Met; met != nil {
-			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-msg.t0)
+			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-rec.t0)
 		}
 	}
 	cfg := t.Cfg()
 	lockPair(t, &n.commLock)
-	if msg.ret != nil {
+	if rec.ret != nil {
 		// Return data is copied twice at the initiator: static buffer area
 		// -> receive buffer (raw copy), then receive buffer -> the CC++
 		// object, which for structured types runs the per-element assignment
 		// (§6: "Bulk reads cost more than bulk writes in CC++ because the
 		// return data has to be copied twice"; the initiator never passes an
 		// R-buffer address, so this cost is unavoidable in the design).
-		units := decodeOne(m.Payload, msg.ret)
+		units := decodeOne(m.Payload, rec.ret)
 		chargeRuntime(t, 2*time.Duration(len(m.Payload))*cfg.MemCopyPerByte+
 			2*time.Duration(units)*cfg.MarshalPerArg)
 	}
-	comp := msg.comp
-	comp.done = true
-	switch comp.mode {
-	case modeBlock, modeFuture:
-		comp.sv.Write(t, nil)
-	}
+	rec.comp.land(t)
 }
 
 // handleResolveUpdate installs a stub-cache entry after a cold invocation.

@@ -261,7 +261,7 @@ type nodeRT struct {
 	// addPending/takePending). gpPending is the same table for the optimized
 	// global-pointer accesses. Both are touched only from this node's
 	// execution context.
-	pending []*rmiMsg
+	pending []*callRec
 	freeIDs []uint32
 
 	gpPending []*gpReq

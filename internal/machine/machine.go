@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -34,7 +35,7 @@ type Machine struct {
 	// backends. When set, Send serializes packets for non-local nodes and
 	// wireDec (installed by the messaging layer) reconstructs arriving ones.
 	shard   transport.ShardBackend
-	wireDec func(src, dst int, b []byte) any
+	wireDec func(src, dst int, b []byte) (any, error)
 
 	// slots is be's zero-copy slot fast path (the netlive shm rings), nil
 	// when the backend has none; Send offers every cross-shard payload here
@@ -104,8 +105,11 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 		}
 		// One long-lived arrival closure per node: the direct-delivery path
 		// hands this same func to the backend on every send, so a delivery
-		// constructs nothing.
+		// constructs nothing. It clears notifyPending before running the
+		// handler, so an arrival that lands while OnArrival runs can queue
+		// the next notify (see ring).
 		nd.notify = func() {
+			nd.notifyPending.Store(false)
 			if nd.OnArrival != nil {
 				nd.OnArrival()
 			}
@@ -133,20 +137,28 @@ type WirePayload interface {
 // SetWireDecoder installs the packet-payload decoder used for frames
 // arriving from peer shards. The messaging layer that defines the payload
 // type installs it (am.NewNet does); it is a no-op concern on
-// single-address-space backends.
-func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireDec = dec }
+// single-address-space backends. The decoder rejects bytes that do not form
+// a valid payload with an error instead of panicking: they came from
+// another process.
+func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) (any, error)) { m.wireDec = dec }
 
 // remoteArrival lands a packet received from a peer shard: decode the
-// payload, enqueue, and wake the destination through the backend's direct
-// path. It runs on a backend reader goroutine; the inbox is thread-safe and
-// the notify closure goes through the destination's delivery worker.
-func (m *Machine) remoteArrival(src, dst, size int, enc []byte) {
+// payload, enqueue, and ring the destination's doorbell. It runs on a
+// backend reader goroutine; the inbox is thread-safe and the notify closure
+// goes through the destination's delivery worker. A payload the decoder
+// rejects is returned as an error and nothing is enqueued.
+func (m *Machine) remoteArrival(src, dst, size int, enc []byte) error {
 	if m.wireDec == nil {
 		panic(fmt.Sprintf("machine: packet from shard peer for node %d but no wire decoder installed", dst))
 	}
+	p, err := m.wireDec(src, dst, enc)
+	if err != nil {
+		return err
+	}
 	nd := m.Node(dst)
-	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: m.wireDec(src, dst, enc)})
-	m.direct.DeliverDirect(dst, nd.notify)
+	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: p})
+	nd.ring()
+	return nil
 }
 
 // Now returns the backend clock: virtual time on the simulator, wall-clock
@@ -197,8 +209,8 @@ type Packet struct {
 }
 
 // Node is one processor of the multicomputer. The messaging layer installs
-// OnArrival to be notified (in the node's execution context, at the arrival
-// instant) when a packet lands in the node's inbound queue.
+// OnArrival to be notified, in the node's execution context, when packets
+// land in the node's inbound queue (see OnArrival for when it runs).
 type Node struct {
 	ID   int
 	M    *Machine
@@ -222,16 +234,60 @@ type Node struct {
 	// and reused by every direct delivery.
 	notify func()
 
+	// armed is the node's doorbell switch on direct-delivery backends: set
+	// (Arm) by a layer about to park a thread until the next arrival, and
+	// cleared (Disarm) once no such thread is left. notifyPending is set
+	// while a notify is queued and not yet started, so at most one is ever
+	// pending per node. See ring.
+	armed         atomic.Bool
+	notifyPending atomic.Bool
+
 	// OnArrival, if non-nil, runs in the node's execution context after a
 	// packet is appended to the inbox. It must not sleep or block, only
-	// mark threads runnable. On the live backend consecutive arrivals may
-	// be coalesced into fewer OnArrival calls; the am layer's wait loops
-	// are already robust to that (waiters re-check the inbox and re-arm).
+	// mark threads runnable.
+	//
+	// On the simulator it runs once per packet, at the arrival instant. On
+	// direct-delivery backends (live, and netlive's in-process half) it
+	// runs only while the node is armed, and arrivals coalesce: one pending
+	// notify covers every packet that lands before it starts. A layer that
+	// parks a thread waiting for arrivals must therefore Arm the node, then
+	// re-check the inbox, and only then park; and it must Disarm once its
+	// last parked thread has been woken.
 	OnArrival func()
 }
 
-// Cfg returns the machine's cost configuration.
-func (n *Node) Cfg() Config { return n.M.Cfg }
+// Cfg returns the machine's cost configuration. Callers read it through the
+// pointer and must not modify it.
+func (n *Node) Cfg() *Config { return &n.M.Cfg }
+
+// Arm declares that a thread of the node is about to park until the next
+// arrival. Call it in the node's execution context before the final inbox
+// re-check that precedes the park: a sender pushes to the inbox and then
+// loads the flag, the receiver stores the flag and then re-checks the
+// inbox, so one of the two always sees the other and a wake-up cannot be
+// lost.
+func (n *Node) Arm() { n.armed.Store(true) }
+
+// Disarm declares that no thread of the node is parked for arrivals any
+// more, so arrivals stop ringing the doorbell. Call it in the node's
+// execution context.
+func (n *Node) Disarm() { n.armed.Store(false) }
+
+// Armed reports whether the node is armed: some thread of it is parked (or
+// about to park) until the next arrival.
+func (n *Node) Armed() bool { return n.armed.Load() }
+
+// ring hands the node's notify to the backend after a direct-delivery
+// enqueue, but only when a thread is armed for arrivals and no notify is
+// already pending. A node whose threads are polling gets no notify at all:
+// they find the packet in the inbox themselves.
+//
+//mpmd:hotpath
+func (n *Node) ring() {
+	if n.armed.Load() && n.notifyPending.CompareAndSwap(false, true) {
+		n.M.direct.DeliverDirect(n.ID, n.notify)
+	}
+}
 
 // InboxLen reports the number of undelivered packets queued at the node.
 func (n *Node) InboxLen() int {
@@ -303,10 +359,11 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 	if m.direct != nil {
 		// Immediate-delivery backend: enqueue here (same ordering as the
 		// generic path — the backend would run enqueue inline anyway) and
-		// hand over the node's long-lived notify closure. No closures are
-		// constructed, so the warm send path does not allocate.
+		// ring the destination, which hands over its long-lived notify
+		// closure only if a thread there is parked for arrivals. No closures
+		// are constructed, so the warm send path does not allocate.
 		target.pushInbox(pkt)
-		m.direct.DeliverDirect(dst, target.notify)
+		target.ring()
 		return
 	}
 	m.be.Deliver(dst, m.Cfg.WireLatency+extraWire,
@@ -324,7 +381,7 @@ func (n *Node) Loopback(size int, payload any) {
 	m := n.M
 	if m.direct != nil {
 		n.pushInbox(pkt)
-		m.direct.DeliverDirect(n.ID, n.notify)
+		n.ring()
 		return
 	}
 	m.be.Deliver(n.ID, 0,

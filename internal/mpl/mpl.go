@@ -50,18 +50,29 @@ func New(m *machine.Machine) *World {
 // Attach binds node i to its scheduler.
 func (w *World) Attach(i int, s *threads.Scheduler) { w.ranks[i].sched = s }
 
+// onArrival moves arrivals into the match queue and wakes every waiter; no
+// thread is left parked, so the doorbell is disarmed.
 func (r *rank) onArrival() {
+	r.drain()
+	ws := r.waiters
+	r.waiters = nil
+	r.node.Disarm()
+	for _, t := range ws {
+		r.sched.MakeReady(t)
+	}
+}
+
+// drain moves every packet in the node's inbox into the match queue and
+// reports how many it moved.
+func (r *rank) drain() int {
+	n := 0
 	for {
 		pkt, ok := r.node.PopInbox()
 		if !ok {
-			break
+			return n
 		}
 		r.queue = append(r.queue, pkt.Payload.(envelope))
-	}
-	ws := r.waiters
-	r.waiters = nil
-	for _, t := range ws {
-		r.sched.MakeReady(t)
+		n++
 	}
 }
 
@@ -95,6 +106,13 @@ func (w *World) Recv(t *threads.Thread, me, src, tag int) ([]byte, int) {
 			r.queue = append(r.queue[:i], r.queue[i+1:]...)
 			t.Charge(machine.CatNet, cfg.MPLOverhead)
 			return env.data, env.src
+		}
+		// Arm before the final inbox check (see machine.Node.Arm): on a
+		// direct-delivery backend arrivals reach the queue only through
+		// onArrival, which runs only for an armed node.
+		r.node.Arm()
+		if r.drain() > 0 {
+			continue
 		}
 		r.waiters = append(r.waiters, t)
 		t.Block()

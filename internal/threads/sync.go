@@ -100,8 +100,12 @@ func (c *Cond) Broadcast(t *Thread) {
 // SyncVar is a write-once synchronization variable, the CC++ `sync T`
 // primitive: readers block until the single write happens.
 type SyncVar struct {
-	set     bool
-	val     any
+	set bool
+	val any
+	// first is the earliest blocked reader and waiters the later ones, in
+	// arrival order. Most variables (an RMI's completion) have one reader,
+	// which then blocks without allocating.
+	first   *Thread
 	waiters []*Thread
 }
 
@@ -113,7 +117,11 @@ func (v *SyncVar) IsSet() bool { return v.set }
 func (v *SyncVar) Read(t *Thread) any {
 	t.chargeSync()
 	for !v.set {
-		v.waiters = append(v.waiters, t)
+		if v.first == nil {
+			v.first = t
+		} else {
+			v.waiters = append(v.waiters, t)
+		}
 		t.Block()
 	}
 	return v.val
@@ -130,6 +138,10 @@ func (v *SyncVar) Write(t *Thread, val any) {
 	t.chargeSync()
 	v.set = true
 	v.val = val
+	if w := v.first; w != nil {
+		v.first = nil
+		t.s.MakeReady(w)
+	}
 	for i, w := range v.waiters {
 		t.s.MakeReady(w)
 		v.waiters[i] = nil
@@ -142,7 +154,7 @@ func (v *SyncVar) Write(t *Thread, val any) {
 // can still be parked (the completing write ran and every reader returned).
 // Resetting a variable with parked readers would strand them, so it panics.
 func (v *SyncVar) Reset() {
-	if len(v.waiters) != 0 {
+	if v.first != nil || len(v.waiters) != 0 {
 		panic("threads: Reset of SyncVar with parked readers")
 	}
 	v.set = false

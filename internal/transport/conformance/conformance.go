@@ -66,6 +66,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("StatsMerge", func(t *testing.T) { statsMerge(t, f) })
+	t.Run("LostWakeup", func(t *testing.T) { lostWakeup(t, f) })
 }
 
 // rig wires an AM net per machine with one scheduler per node, built on the
@@ -510,15 +511,25 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 		k     = 80
 	)
 	r := newRig(f(machine.SP1997(), nodes))
+	_, hasMetrics := r.m.Metrics()
+	dst := r.ms[r.owner[nodes-1]].Node(nodes - 1)
 	var got int
 	h := r.register("conf.stats", func(_ *threads.Thread, _ am.Msg) { got++ })
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
 			r.ep(0).RequestShort(th, nodes-1, h, [4]uint64{uint64(i)})
 		}
+		// An exchange the receiver keeps up with by polling rings no
+		// doorbell on a direct-delivery backend. Send the last message only
+		// once the receiver is parked for it, so the metrics plane has a
+		// notify to record.
+		for hasMetrics && !dst.Armed() {
+			runtime.Gosched()
+		}
+		r.ep(0).RequestShort(th, nodes-1, h, [4]uint64{k})
 	})
 	r.scheds[nodes-1].Start("receiver", func(th *threads.Thread) {
-		r.ep(nodes-1).PollUntil(th, func() bool { return got == k })
+		r.ep(nodes-1).PollUntil(th, func() bool { return got == k+1 })
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -565,10 +576,79 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 			t.Fatalf("merged metrics != merge of shard metrics:\n got %+v\nwant %+v", cs.Metrics, want)
 		}
 		if n := cs.Metrics.Counter(metrics.CtrNotifies); n == 0 {
-			t.Fatal("live backend reported zero notify events after real traffic")
+			t.Fatal("live backend reported zero notify events after waking a parked receiver")
 		}
 	} else if cs.Metrics != (metrics.Snapshot{}) {
 		t.Fatal("backend without a metrics plane reported non-zero metrics")
+	}
+}
+
+// lostWakeup: doorbell gating loses no wake-up. Several senders each send
+// one message at a time to a receiver and wait (polling, then parking) for
+// its acknowledgement before sending the next, yielding at irregular
+// points. The receiver alternates between bursts of polling (no doorbell
+// rings while nothing is parked) and parking until the next arrival (the
+// doorbell must ring). A message that lands between a node's last inbox
+// check and its park must still wake it: with every sender waiting on an
+// ack, one lost wake-up on either side leaves the run parked with a message
+// in an inbox, and it ends in a StallError instead of completing.
+func lostWakeup(t *testing.T, f ShardedFactory) {
+	const (
+		senders = 3
+		k       = 200
+	)
+	r := newRig(f(machine.SP1997(), senders+1))
+	var (
+		got  int
+		next [senders + 1]uint64
+		acks [senders + 1]uint64 // acks[s] lives on node s
+		bad  string
+	)
+	hAck := r.register("conf.wake.ack", func(_ *threads.Thread, m am.Msg) { acks[m.Dst]++ })
+	h := r.register("conf.wake", func(th *threads.Thread, m am.Msg) {
+		s, i := int(m.A[0]), m.A[1]
+		if i != next[s] && bad == "" {
+			bad = fmt.Sprintf("sender %d: message %d arrived, want %d", s, i, next[s])
+		}
+		next[s] = i + 1
+		got++
+		r.ep(0).RequestShort(th, s, hAck, [4]uint64{})
+	})
+	for s := 1; s <= senders; s++ {
+		s := s
+		r.scheds[s].Start("sender", func(th *threads.Thread) {
+			for i := 0; i < k; i++ {
+				r.ep(s).RequestShort(th, 0, h, [4]uint64{uint64(s), uint64(i)})
+				if (i*7+s)%5 == 0 {
+					runtime.Gosched()
+				}
+				r.ep(s).PollUntil(th, func() bool { return acks[s] > uint64(i) })
+			}
+		})
+	}
+	parks := 0
+	r.scheds[0].Start("receiver", func(th *threads.Thread) {
+		ep := r.ep(0)
+		for round := 0; got < senders*k; round++ {
+			for i := round % 7; i >= 0 && got < senders*k; i-- {
+				if !ep.Poll(th) {
+					runtime.Gosched()
+				}
+			}
+			if got < senders*k {
+				parks++
+				ep.WaitMessage(th)
+			}
+		}
+	})
+	if err := r.run(); err != nil {
+		t.Fatalf("Run: %v (%d of %d messages handled, %d parks)", err, got, senders*k, parks)
+	}
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if got != senders*k {
+		t.Fatalf("handled %d messages, want %d", got, senders*k)
 	}
 }
 

@@ -10,9 +10,11 @@
 // everything that executes in the node's context holds it: the node's proc
 // goroutines while running, and the node's delivery worker while running
 // notify/timer callbacks. Procs release the CPU when they park (condition
-// wait) and briefly during Sleep, which is where the simulator would have let
-// arrival events interleave, so the interleaving points match the calibrated
-// backend exactly.
+// wait), and during Sleep when the delivery worker is waiting for it — the
+// point where the simulator would have let arrival events interleave. A
+// Sleep with no worker waiting keeps the CPU: there is nothing to
+// interleave, and the release and re-acquire would cost two atomic
+// operations per modelled charge for nothing.
 //
 // # Message delivery
 //
@@ -20,10 +22,16 @@
 // layer's inbound queues are individually thread-safe), so a destination that
 // is actively polling observes the message with no handoff at all. The notify
 // callback — waking a parked receiver — must run in the destination's context,
-// so it is pushed onto the node's unbounded notify queue and executed by the
-// node's delivery worker, which drains the queue in batches under a single
-// CPU acquisition (short-message batching). Senders never block on delivery,
-// which rules out cross-node delivery deadlocks by construction.
+// so it is pushed onto the node's notify queue and executed by the node's
+// delivery worker, which drains the queue in batches under a single CPU
+// acquisition. Senders never block on delivery, which rules out cross-node
+// delivery deadlocks by construction.
+//
+// The machine layer rings through DeliverDirect only when a thread of the
+// destination is parked for arrivals, and keeps at most one notify pending
+// per node (machine.Node.Arm), so under message traffic the notify queue
+// holds the pending notify plus timer callbacks; a node whose threads are
+// polling gets no notifies at all.
 package live
 
 import (
@@ -157,6 +165,10 @@ type lnode struct {
 	mu  sync.Mutex        //mpmd:cpu
 	met *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
 
+	// cpuWaiters counts delivery workers blocked (or about to block) on mu.
+	// Proc.Sleep releases the CPU only while it is non-zero.
+	cpuWaiters atomic.Int32
+
 	q struct {
 		mu     sync.Mutex
 		cond   *sync.Cond        //mpmdvet:cond mu
@@ -171,9 +183,11 @@ type lnode struct {
 }
 
 // push appends fn to the notify queue, reporting false if the queue has
-// already closed (shutdown raced the caller). Never blocks (the queue is
-// unbounded), so senders holding their own node's CPU cannot deadlock
-// against delivery. The queue is a ring and the warm path's closures are
+// already closed (shutdown raced the caller). Never blocks, so senders
+// holding their own node's CPU cannot deadlock against delivery. The queue
+// has no bound of its own: the machine layer keeps at most one arrival
+// notify pending per node, so its depth is that notify plus the node's due
+// timer callbacks. The queue is a ring and the warm path's closures are
 // long-lived (one per destination node), so a steady-state push allocates
 // nothing.
 //
@@ -225,7 +239,9 @@ func (nd *lnode) deliveryLoop(batch int) {
 			met.Observe(metrics.HstPollBatch, int64(len(take)))
 		}
 
+		nd.cpuWaiters.Add(1)
 		nd.mu.Lock()
+		nd.cpuWaiters.Add(-1)
 		for i, fn := range take {
 			fn()
 			take[i] = nil // drop the reference; the buffer is reused
@@ -295,17 +311,18 @@ func (p *Proc) Unpark() {
 }
 
 // Sleep implements transport.Proc. The modelled cost is already paid by real
-// execution, so no time passes; the CPU is briefly released so delivery and
-// timer callbacks get the same interleaving window the simulator's arrival
-// events have during a virtual-time charge. The release is a bare mutex
-// handoff — a waiting delivery worker acquires it, an uncontended release
-// costs a few atomic operations. (An unconditional runtime.Gosched here was
-// the single largest cost of the warm RMI path: each modelled charge forced
-// a scheduler round trip, and a round trip has several charges per side.)
+// execution, so no time passes. When the node's delivery worker is waiting
+// for the CPU, the CPU is briefly released so delivery and timer callbacks
+// get the same interleaving window the simulator's arrival events have
+// during a virtual-time charge; the release is a bare mutex handoff. With no
+// worker waiting, Sleep returns at the cost of one atomic load. (An
+// unconditional runtime.Gosched here was once the single largest cost of
+// the warm RMI path: each modelled charge forced a scheduler round trip,
+// and a round trip has several charges per side.)
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 {
+	if d <= 0 || p.nd.cpuWaiters.Load() == 0 {
 		return
 	}
 	p.nd.mu.Unlock()

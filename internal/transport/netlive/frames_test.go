@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -22,10 +23,41 @@ func frameBackend(t testing.TB, n, nps, shard int) (*Backend, *[]gotPacket) {
 	b := newLocal(n, nps, shard, Options{})
 	t.Cleanup(func() { _ = b.inner.Run() })
 	got := new([]gotPacket)
-	b.SetRemoteHandler(func(src, dst, size int, payload []byte) {
+	b.SetRemoteHandler(func(src, dst, size int, payload []byte) error {
 		*got = append(*got, gotPacket{src, dst, size, append([]byte(nil), payload...)})
+		return nil
 	})
 	return b, got
+}
+
+// amHandlers is the handler count amFrameBackend's decoder accepts.
+const amHandlers = 4
+
+// amFrameBackend is frameBackend with the AM layer's wire decoder in the
+// remote handler, as a machine built over am installs it: a packet whose
+// payload is not a valid message fails the stream.
+func amFrameBackend(t testing.TB, n, nps, shard int) (*Backend, *[]gotPacket) {
+	b, got := frameBackend(t, n, nps, shard)
+	b.SetRemoteHandler(func(src, dst, size int, payload []byte) error {
+		m, err := am.DecodeWireMsg(src, dst, payload, amHandlers)
+		if err != nil {
+			return err
+		}
+		if m.PayloadBuf != nil {
+			m.PayloadBuf.Release()
+		}
+		*got = append(*got, gotPacket{src, dst, size, append([]byte(nil), payload...)})
+		return nil
+	})
+	return b, got
+}
+
+// amMsg is the wire form of an AM message for handler h carrying payload.
+func amMsg(h am.HandlerID, payload []byte) []byte {
+	m := &am.Msg{H: h, Bulk: len(payload) > 0, Payload: payload}
+	b := make([]byte, m.WireLen())
+	m.EncodeWire(b)
+	return b
 }
 
 type gotPacket struct {
@@ -155,23 +187,64 @@ func TestReadFramesDispatch(t *testing.T) {
 	}
 }
 
+// TestReadFramesBadAMPayload: a packet frame that passes the frame rules but
+// whose payload the AM decoder rejects — shorter than the message header, or
+// for a handler that is not registered — fails the stream with a frame-rule
+// error instead of panicking, and is not dispatched.
+func TestReadFramesBadAMPayload(t *testing.T) {
+	good := frame(kPacket, packet(0, 2, 64, amMsg(1, []byte("payload"))))
+	cases := []struct {
+		name    string
+		stream  []byte
+		wantErr string
+		packets int
+	}{
+		{"valid message", good, "", 1},
+		{"empty payload", cat(good, frame(kPacket, packet(0, 2, 0, nil))), "shorter than its 45-byte header", 1},
+		{"payload one byte short", frame(kPacket, packet(0, 3, 0, amMsg(0, nil)[:44])), "shorter than its 45-byte header", 0},
+		{"handler not registered", frame(kPacket, packet(1, 2, 0, amMsg(amHandlers, nil))), "handler 4, only 4 registered", 0},
+		{"handler huge", frame(kPacket, packet(1, 2, 0, amMsg(0x7FFFFFFF, []byte("x")))), "handler 2147483647", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b, got := amFrameBackend(t, 4, 2, 1)
+			err := b.readFrames(bytes.NewReader(tc.stream))
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("readFrames = %v, want a clean end", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr) ||
+				!strings.Contains(err.Error(), "bad frame")):
+				t.Fatalf("readFrames = %v, want a bad-frame error containing %q", err, tc.wantErr)
+			}
+			if len(*got) != tc.packets {
+				t.Fatalf("dispatched %d packets, want %d", len(*got), tc.packets)
+			}
+		})
+	}
+}
+
 // TestReadLoopRejectCloses: a stream that breaks the rules is reported
 // through Err and its connection is closed, with no panic.
 func TestReadLoopRejectCloses(t *testing.T) {
-	b, _ := frameBackend(t, 4, 2, 1)
-	local, remote := net.Pipe()
-	b.readers.Add(1)
-	go b.readLoop(local)
-	if _, err := remote.Write(lenOnly(kPacket, maxFrameLen+1)); err != nil {
-		t.Fatal(err)
-	}
-	_ = remote.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("peer read after a rejected frame = %v, want EOF (connection closed)", err)
-	}
-	b.readers.Wait()
-	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "bad frame") {
-		t.Fatalf("Err = %v, want the rejected frame", err)
+	for _, bad := range [][]byte{
+		lenOnly(kPacket, maxFrameLen+1),
+		frame(kPacket, packet(0, 2, 0, []byte("short"))), // rejected by the AM decoder
+	} {
+		b, _ := amFrameBackend(t, 4, 2, 1)
+		local, remote := net.Pipe()
+		b.readers.Add(1)
+		go b.readLoop(local)
+		if _, err := remote.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		_ = remote.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("peer read after a rejected frame = %v, want EOF (connection closed)", err)
+		}
+		b.readers.Wait()
+		if err := b.Err(); err == nil || !strings.Contains(err.Error(), "bad frame") {
+			t.Fatalf("Err = %v, want the rejected frame", err)
+		}
 	}
 }
 
@@ -215,16 +288,19 @@ func TestReadFramesClosedMidBody(t *testing.T) {
 
 // FuzzReadFrames: no byte stream makes the reader panic, dispatch a packet
 // that breaks the rules, or fail with anything but a frame-rule error.
+// Packets go through the AM wire decoder, as on a real machine.
 func FuzzReadFrames(f *testing.F) {
 	for _, seed := range [][]byte{
-		frame(kPacket, packet(0, 2, 64, []byte("payload"))),
+		frame(kPacket, packet(0, 2, 64, amMsg(1, []byte("payload")))),
 		cat(frame(kAllDone, nil), frame(kDoorbell, u32(1)), frame(kStatsLast, cat(u32(1), []byte("{}")))),
 		lenOnly(kPacket, maxFrameLen+1),
 		frame(kPacket, packet(0, 1, 0, nil)),
+		frame(kPacket, packet(0, 2, 64, []byte("payload"))),
+		frame(kPacket, packet(0, 3, 0, amMsg(amHandlers, nil))),
 	} {
 		f.Add(seed)
 	}
-	b, got := frameBackend(f, 4, 2, 1)
+	b, got := amFrameBackend(f, 4, 2, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		*got = (*got)[:0]
 		err := b.readFrames(bytes.NewReader(data))

@@ -44,9 +44,11 @@
 // Err and closes that connection. A body that fits the read buffer is
 // dispatched in place (the remote-arrival handler copies what it keeps, as
 // for shm ring slots); a larger one is read into a pooled buffer. Packets go
-// to the machine's remote-arrival handler, which enqueues into the
-// destination node's (thread-safe) inbox and wakes it through the live
-// backend's delivery worker.
+// to the machine's remote-arrival handler, which decodes the payload,
+// enqueues into the destination node's (thread-safe) inbox and, if a
+// thread there is parked for arrivals, wakes it through the live backend's
+// delivery worker. A payload the handler's decoder rejects is a violation
+// like any other: Err, and the connection closed.
 //
 // # The shared-memory fast path
 //
@@ -228,7 +230,7 @@ type Backend struct {
 	// remote is the machine's arrival upcall (SetRemoteHandler). Atomic:
 	// reader goroutines may already be accepting peer connections while the
 	// machine layer is still being constructed.
-	remote atomic.Value // func(src, dst, size int, payload []byte)
+	remote atomic.Value // func(src, dst, size int, payload []byte) error
 
 	q struct {
 		sync.Mutex
@@ -672,7 +674,7 @@ func (b *Backend) fireQuiesce() {
 // --- transport.ShardBackend -------------------------------------------------
 
 // SetRemoteHandler implements transport.ShardBackend.
-func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte)) {
+func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte) error) {
 	b.remote.Store(fn)
 }
 
@@ -922,11 +924,13 @@ func (b *Backend) dispatch(kind frameKind, body []byte) error {
 		if dst < uint32(b.lo) || dst >= uint32(b.hi) {
 			return b.badFrame("packet dst %d not local (nodes [%d,%d))", dst, b.lo, b.hi)
 		}
-		remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
+		remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) error)
 		if remote == nil {
 			panic("netlive: packet frame before the machine installed its remote handler")
 		}
-		remote(int(src), int(dst), int(size), body[packetHdrLen:])
+		if err := remote(int(src), int(dst), int(size), body[packetHdrLen:]); err != nil {
+			return b.badFrame("packet %d->%d: %v", src, dst, err)
+		}
 	case kMainsDone:
 		s, err := b.shardID(body)
 		if err != nil {

@@ -524,7 +524,7 @@ func (b *Backend) shmReadLoop(rx *shmRx) {
 func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) uint64 {
 	r := rx.r
 	data := r.data
-	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
+	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) error)
 	frames, recBytes := int64(0), int64(0)
 	for head != tail {
 		off := head % r.capB
@@ -540,7 +540,9 @@ func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) uint64 {
 		src := int(binary.LittleEndian.Uint32(data[off+4:]))
 		dst := int(binary.LittleEndian.Uint32(data[off+8:]))
 		size := int(binary.LittleEndian.Uint32(data[off+12:]))
-		remote(src, dst, size, data[off+recHdrLen:off+uint64(recLen)])
+		if err := remote(src, dst, size, data[off+recHdrLen:off+uint64(recLen)]); err != nil {
+			b.shmBadRecord(rx, src, dst, err)
+		}
 		head += align8(uint64(recLen))
 		r.head.Store(head)
 		frames++
@@ -551,6 +553,15 @@ func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) uint64 {
 		met.Add(metrics.CtrShmBytesIn, recBytes)
 	}
 	return head
+}
+
+// shmBadRecord reports a ring record whose packet the machine's decoder
+// rejected; the record is skipped. A shm ring has no connection to close,
+// so the ring stays in service.
+//
+//mpmd:coldpath error report for a rejected record; a warm drain never reaches it
+func (b *Backend) shmBadRecord(rx *shmRx, src, dst int, err error) {
+	b.addErr(fmt.Errorf("netlive: shard %d: bad shm record from shard %d: packet %d->%d: %w", b.shard, rx.peer, src, dst, err))
 }
 
 // shmWaitData waits for the producer to move tail past head: a bounded

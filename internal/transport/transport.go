@@ -100,7 +100,9 @@ type ShardBackend interface {
 	// SetRemoteHandler installs the upcall for packets arriving from peer
 	// shards. fn runs on a backend reader goroutine; payload is valid only
 	// for the duration of the call (the backend recycles the frame buffer).
-	SetRemoteHandler(fn func(src, dst, size int, payload []byte))
+	// fn returns an error when the payload is not a valid packet; the
+	// backend reports it through its Err and stops trusting that stream.
+	SetRemoteHandler(fn func(src, dst, size int, payload []byte) error)
 }
 
 // FrameMarshaler is a packet payload that can serialize itself into

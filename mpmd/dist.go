@@ -2,6 +2,7 @@ package mpmd
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/coll"
 	"repro/internal/rmigen"
@@ -80,7 +81,7 @@ func NewDist[T any](tm *Team, n int, layout Layout) (*Dist[T], error) {
 		d.parts[r] = make([]T, d.partLen(r))
 		part := d.parts[r]
 		c.InstallDist(tm.Node(r), d.id, coll.DistHooks{
-			Get: func(off int) []byte { return encode(d.codec, part[off]) },
+			Get: func(off int, dst []byte) []byte { return d.codec.AppendTo(reflect.ValueOf(&part[off]).Elem(), dst) },
 			Put: func(off int, b []byte) { part[off] = decode[T](d.codec, b) },
 		})
 	}
@@ -200,8 +201,9 @@ func (d *Dist[T]) GetAsync(t *Thread, i int) (*Future[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	f, ret := d.tm.tm.Comm().DistGetAsync(t, d.tm.Node(rank), d.id, off)
-	return &Future[T]{f: f, load: func() T { return decode[T](d.codec, ret.V) }}, nil
+	fu := &Future[T]{codec: d.codec}
+	fu.f = d.tm.tm.Comm().DistGetAsync(t, d.tm.Node(rank), d.id, off, &fu.ret)
+	return fu, nil
 }
 
 // PutAsync starts a split-phase write of element i; the returned future

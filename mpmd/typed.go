@@ -216,20 +216,29 @@ func InvokeOneWay[A, T any](t *Thread, r Ref[T], method string, args A) error {
 // low-level core.Future remains available as UntypedFuture.
 type Future[R any] struct {
 	f *core.Future
-	// load decodes the landed result (wall-time-only bookkeeping); nil for
-	// void results.
+	// load decodes the landed result of an InvokeAsync (wall-time-only
+	// bookkeeping); nil for void results and Dist gets.
 	load func() R
+	// A Dist get lands the element's encoding in ret; Wait decodes it with
+	// codec into val. nil codec for every other operation.
+	codec *rmigen.Codec
+	ret   core.Bytes
+	val   R
 }
 
 // Wait blocks until the operation has completed and returns the result (the
 // zero R for void operations).
 func (fu *Future[R]) Wait(t *threads.Thread) R {
 	fu.f.Wait(t)
-	if fu.load == nil {
-		var zero R
-		return zero
+	switch {
+	case fu.codec != nil:
+		fu.codec.Decode(fu.ret.V, reflect.ValueOf(&fu.val).Elem())
+		return fu.val
+	case fu.load != nil:
+		return fu.load()
 	}
-	return fu.load()
+	var zero R
+	return zero
 }
 
 // Done reports (without blocking) whether the operation has completed.
